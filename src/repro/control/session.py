@@ -14,7 +14,8 @@ session".  :class:`EvolutionSession` implements this:
   the Runtime System, protocol step 7);
 * ``apply_repair`` executes a chosen repair inside the session;
 * ``rollback`` restores the extensions exactly as they were at BES;
-* ``commit`` closes the session.
+* ``commit`` closes the session, checking once more only if something
+  changed since the last ``check``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ class EvolutionSession:
         elif check_mode == "delta":
             self._derived_before = snapshot_derived(model.db)
         self._net: Dict[Atom, int] = {}
+        #: The last EES report with the state it was computed against
+        #: (see :meth:`_check_key`); :meth:`commit` reuses it while the
+        #: key is unchanged.
+        self._last_check: Optional[Tuple[tuple, SessionReport]] = None
         #: Runtime-side compensation callbacks (object-base undo).  The
         #: EDB restores from its BES snapshot on rollback, but cures and
         #: object lifecycle operations also mutate Python object state
@@ -277,8 +282,19 @@ class EvolutionSession:
             if self.obs.enabled:
                 span.set("violations", len(report.violations))
                 self.obs.metrics.counter(f"session.checks[{mode}]").inc()
-        return SessionReport(report=report, net_additions=additions,
-                             net_deletions=deletions)
+        result = SessionReport(report=report, net_additions=additions,
+                               net_deletions=deletions)
+        self._last_check = (self._check_key(mode), result)
+        return result
+
+    def _check_key(self, mode: str) -> tuple:
+        """What an EES report depends on besides the session's own delta:
+        the check mode, the EDB's modification generation (bumped by
+        every extension change, including ones that bypass
+        :meth:`modify`), and the rule and constraint sets."""
+        model = self.model
+        return (mode, model.db.edb.generation(), len(model.db.program),
+                model.checker.generation)
 
     # -- repairs -------------------------------------------------------------------------
 
@@ -342,8 +358,19 @@ class EvolutionSession:
                mode: Optional[str] = None) -> SessionReport:
         """EES: check and close.  With *require_consistent* (the default),
         violations raise :class:`InconsistentSchemaError` and the session
-        stays open so the caller can repair or roll back."""
-        report = self.check(mode)
+        stays open so the caller can repair or roll back.
+
+        The report of the last :meth:`check` is reused when the mode, the
+        EDB and the rule and constraint sets are all unchanged since it
+        ran, so a checked-then-committed session pays for one EES check.
+        """
+        self._require_active()
+        mode = mode or self.check_mode
+        cached = self._last_check
+        if cached is not None and cached[0] == self._check_key(mode):
+            report = cached[1]
+        else:
+            report = self.check(mode)
         if require_consistent and not report.consistent:
             raise InconsistentSchemaError(report.violations)
         # EES durability point: fsync the commit record before the

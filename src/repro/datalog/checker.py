@@ -132,6 +132,9 @@ class ConsistencyChecker:
         self.database = database
         self._constraints: List[Constraint] = []
         self._by_name: Dict[str, Constraint] = {}
+        #: Bumped whenever the constraint set changes, so a cached check
+        #: report can tell whether it still covers every constraint.
+        self.generation = 0
         for constraint in constraints:
             self.add_constraint(constraint)
 
@@ -142,6 +145,7 @@ class ConsistencyChecker:
             raise ValueError(f"constraint {constraint.name} already registered")
         self._by_name[constraint.name] = constraint
         self._constraints.append(constraint)
+        self.generation += 1
         # Premises/conclusions are planned through the shared cache; a new
         # constraint may reuse a body shape with different binding needs.
         self.database.planner.invalidate()
@@ -149,6 +153,7 @@ class ConsistencyChecker:
     def remove_constraint(self, name: str) -> Constraint:
         constraint = self._by_name.pop(name)
         self._constraints.remove(constraint)
+        self.generation += 1
         self.database.planner.invalidate()
         return constraint
 

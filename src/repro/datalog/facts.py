@@ -90,11 +90,17 @@ class Relation:
     Relations support copy-on-write sharing for snapshot isolation:
     :meth:`freeze_view` hands out a view sharing this relation's columns
     and indexes by reference, marking both sides shared.  The first
-    mutation of the live relation after a freeze privatizes its storage
-    (:meth:`_ensure_private`), so published views stay immutable without
-    any bucket copying at snapshot time.  The symbol table is append-only
-    and shared by reference — codes recorded before a freeze decode
-    identically forever, on both sides.
+    mutation of the live relation after a freeze privatizes the
+    containers only (:meth:`_ensure_private`: the columns, the row-id
+    dict and a shallow copy of each index dict), so the index *buckets*
+    stay shared.  ``_owned[p]`` records the codes whose position-*p*
+    bucket the live side has copied or created since the last freeze;
+    :meth:`add_codes` / :meth:`remove_codes` copy a bucket the first
+    time they change it, so a publish-then-mutate cycle costs the
+    touched buckets, never the whole relation.  ``_owned`` is None while
+    every bucket is private (never frozen, or cleared since).  The
+    symbol table is append-only and shared by reference — codes recorded
+    before a freeze decode identically forever, on both sides.
     """
 
     def __init__(self, decl: PredicateDecl,
@@ -112,6 +118,10 @@ class Relation:
         self._free: List[int] = []
         self._next_rid = 0
         self._shared = False
+        self._owned: Optional[List[Set[int]]] = None
+        #: Bumped by every mutation that changes the extension (see
+        #: :meth:`FactStore.generation`).
+        self.generation = 0
 
     def freeze_view(self) -> "Relation":
         """An immutable view sharing this relation's storage (O(1)).
@@ -130,20 +140,36 @@ class Relation:
         view._free = self._free
         view._next_rid = self._next_rid
         view._shared = True
+        view._owned = None
+        view.generation = self.generation
         self._shared = True
+        # Every bucket is now reachable from the view: own none of them.
+        self._owned = [set() for _ in range(self.decl.arity)]
         return view
 
     def _ensure_private(self) -> None:
-        """Detach from any frozen view before mutating (copy-on-write)."""
+        """Detach the containers from any frozen view before mutating.
+
+        Copies the columns, the row-id dict and each index dict shallowly
+        (C-level copies); the buckets stay shared until
+        :meth:`add_codes` / :meth:`remove_codes` first change them.
+        """
         if self._shared:
-            self._columns = [array("q", column) for column in self._columns]
-            self._row_ids = dict(self._row_ids)
-            self._indexes = [
-                {code: set(bucket) for code, bucket in index.items()}
-                for index in self._indexes
-            ]
-            self._free = list(self._free)
+            self._columns = [column[:] for column in self._columns]
+            self._row_ids = self._row_ids.copy()
+            self._indexes = [index.copy() for index in self._indexes]
+            self._free = self._free[:]
             self._shared = False
+            self.stats.cow_relations_privatized += 1
+
+    def _own_bucket(self, position: int, code: int,
+                    bucket: Set[int]) -> Set[int]:
+        """The live side's private copy of a shared bucket."""
+        copy = set(bucket)
+        self._indexes[position][code] = copy
+        self._owned[position].add(code)
+        self.stats.cow_buckets_copied += 1
+        return copy
 
     def __len__(self) -> int:
         return len(self._row_ids)
@@ -193,8 +219,19 @@ class Relation:
             for position, code in enumerate(codes):
                 self._columns[position].append(code)
         self._row_ids[codes] = rid
+        self.generation += 1
+        owned = self._owned
         for position, code in enumerate(codes):
-            self._indexes[position].setdefault(code, set()).add(rid)
+            index = self._indexes[position]
+            bucket = index.get(code)
+            if bucket is None:
+                index[code] = {rid}
+                if owned is not None:
+                    owned[position].add(code)
+            else:
+                if owned is not None and code not in owned[position]:
+                    bucket = self._own_bucket(position, code, bucket)
+                bucket.add(rid)
         return True
 
     def remove(self, row: Tuple[object, ...]) -> bool:
@@ -211,12 +248,20 @@ class Relation:
             return False
         self._ensure_private()
         del self._row_ids[codes]
+        self.generation += 1
+        owned = self._owned
         for position, code in enumerate(codes):
-            bucket = self._indexes[position].get(code)
-            if bucket is not None:
-                bucket.discard(rid)
-                if not bucket:
-                    del self._indexes[position][code]
+            index = self._indexes[position]
+            bucket = index.get(code)
+            if bucket is None:
+                continue
+            if len(bucket) == 1 and rid in bucket:
+                # Emptied: drop the key; a shared bucket needs no copy.
+                del index[code]
+                continue
+            if owned is not None and code not in owned[position]:
+                bucket = self._own_bucket(position, code, bucket)
+            bucket.discard(rid)
         self._free.append(rid)
         return True
 
@@ -290,6 +335,8 @@ class Relation:
             yield tuple(values[column[rid]] for column in columns)
 
     def clear(self) -> None:
+        if self._row_ids:
+            self.generation += 1
         if self._shared:
             # A frozen view still references the old storage; just start
             # fresh instead of copying columns only to empty them.
@@ -299,6 +346,7 @@ class Relation:
             self._free = []
             self._next_rid = 0
             self._shared = False
+            self._owned = None
             return
         for column in self._columns:
             del column[:]
@@ -307,6 +355,9 @@ class Relation:
             index.clear()
         del self._free[:]
         self._next_rid = 0
+        # The (private) index dicts are empty, so every later bucket is
+        # created fresh by this side.
+        self._owned = None
 
 
 class FactStore:
@@ -341,8 +392,9 @@ class FactStore:
         the live one — columns and index buckets are shared by
         reference, never copied, and the append-only symbol table is
         shared outright (codes recorded at fork time decode identically
-        forever).  The live store privatizes each relation lazily on its
-        first post-fork mutation, so the fork observes exactly the
+        forever).  The live store privatizes each relation's containers
+        lazily on its first post-fork mutation and copies an index
+        bucket only when it changes it, so the fork observes exactly the
         extension at fork time.  The fork carries its own ``stats`` so
         concurrent readers do not race the live session's
         instrumentation counters.
@@ -386,6 +438,18 @@ class FactStore:
 
     def predicates(self) -> Iterator[str]:
         return iter(self._decls)
+
+    def generation(self) -> int:
+        """A modification generation of the whole store.
+
+        The sum of the relations' mutation counters: it grows with every
+        change to any extension, whichever entry point made it (the fact
+        API, a :class:`Relation` driven directly, a restore), and stays
+        put otherwise.  Callers compare two readings to learn whether
+        the store changed in between.
+        """
+        return sum(relation.generation
+                   for relation in self._relations.values())
 
     # -- fact manipulation --------------------------------------------------
 

@@ -101,6 +101,11 @@ class EngineStats:
     #: a BES snapshot and fell back to the conservative slow path — a
     #: correctly configured session should keep this at zero.
     delta_fallbacks: int = 0
+    #: Copy-on-write work after a snapshot publish: relations whose
+    #: containers were detached from a frozen view, and index buckets
+    #: copied because a mutation touched one still shared with it.
+    cow_relations_privatized: int = 0
+    cow_buckets_copied: int = 0
     # Durability counters (threaded in by repro.storage when the model
     # is backed by an evolution log).
     wal_records: int = 0
@@ -128,7 +133,8 @@ class EngineStats:
         "plans_compiled", "plan_cache_hits", "compiled_plans",
         "intern_hits", "checks_run", "constraints_checked",
         "violations_found", "maint_insert_rounds", "maint_deleted",
-        "maint_rederived", "maint_ms", "delta_fallbacks", "wal_records",
+        "maint_rederived", "maint_ms", "delta_fallbacks",
+        "cow_relations_privatized", "cow_buckets_copied", "wal_records",
         "wal_bytes", "wal_fsyncs", "replay_sessions", "replay_records",
         "replay_seconds",
     )
@@ -197,6 +203,8 @@ class EngineStats:
             "maint_rederived": self.maint_rederived,
             "maint_ms": self.maint_ms,
             "delta_fallbacks": self.delta_fallbacks,
+            "cow_relations_privatized": self.cow_relations_privatized,
+            "cow_buckets_copied": self.cow_buckets_copied,
             "wal_records": self.wal_records,
             "wal_bytes": self.wal_bytes,
             "wal_fsyncs": self.wal_fsyncs,
@@ -238,6 +246,11 @@ class EngineStats:
         if self.delta_fallbacks:
             lines.append(f"  delta fallbacks:    {self.delta_fallbacks} "
                          f"(conservative re-check without derived delta)")
+        if self.cow_relations_privatized or self.cow_buckets_copied:
+            lines.append(f"  copy-on-write:      "
+                         f"{self.cow_relations_privatized} relation(s) "
+                         f"privatized, {self.cow_buckets_copied} "
+                         f"bucket(s) copied")
         if self.wal_records or self.wal_fsyncs:
             lines.append(f"  evolution log:      {self.wal_records} "
                          f"record(s), {self.wal_bytes} bytes, "

@@ -81,6 +81,10 @@ def render_stats(stats: EngineStats, slowest: int = 5) -> str:
         rows.append(["parallel check workers", stats.parallel_check_workers])
     if stats.delta_fallbacks:
         rows.append(["delta fallbacks", stats.delta_fallbacks])
+    if stats.cow_relations_privatized or stats.cow_buckets_copied:
+        rows.append(["cow relations privatized",
+                     stats.cow_relations_privatized])
+        rows.append(["cow buckets copied", stats.cow_buckets_copied])
     if stats.wal_records or stats.wal_fsyncs:
         rows.append(["wal records",
                      f"{stats.wal_records} ({stats.wal_bytes} bytes)"])

@@ -111,19 +111,8 @@ class ProvenanceIndex:
         """Forget every derivation of *fact* (used by partial recompute)."""
         derivations = self._by_fact.pop(fact, [])
         if derivations:
-            bucket = self._by_pred.get(fact.pred)
-            if bucket is not None:
-                bucket.discard(fact)
-        for derivation in derivations:
-            self._keys.discard(derivation.key())
-            for support in derivation.positive_supports:
-                bucket = self._by_support.get(support)
-                if bucket is not None:
-                    bucket.discard(fact)
-            for absent in derivation.negative_supports:
-                bucket = self._by_negative.get(absent)
-                if bucket is not None:
-                    bucket.discard(fact)
+            _discard(self._by_pred, fact.pred, fact)
+        self._forget(fact, derivations)
 
     def clear_predicate(self, pred: str) -> int:
         """Forget every derivation of every fact of predicate *pred*.
@@ -136,18 +125,19 @@ class ProvenanceIndex:
         if not facts:
             return 0
         for fact in facts:
-            derivations = self._by_fact.pop(fact, ())
-            for derivation in derivations:
-                self._keys.discard(derivation.key())
-                for support in derivation.positive_supports:
-                    bucket = self._by_support.get(support)
-                    if bucket is not None:
-                        bucket.discard(fact)
-                for absent in derivation.negative_supports:
-                    bucket = self._by_negative.get(absent)
-                    if bucket is not None:
-                        bucket.discard(fact)
+            self._forget(fact, self._by_fact.pop(fact, ()))
         return len(facts)
+
+    def _forget(self, fact: Atom, derivations) -> None:
+        """Unlink *fact*'s dropped derivations from the reverse maps,
+        deleting buckets they leave empty so the maps track the live
+        derivations and not every fact ever derived."""
+        for derivation in derivations:
+            self._keys.discard(derivation.key())
+            for support in derivation.positive_supports:
+                _discard(self._by_support, support, fact)
+            for absent in derivation.negative_supports:
+                _discard(self._by_negative, absent, fact)
 
     def tree(self, fact: Atom, is_derived, max_depth: int = 16) -> DerivationTree:
         """Build a derivation tree for *fact* for explanation purposes.
@@ -175,3 +165,12 @@ class ProvenanceIndex:
             children=children,
             negated_leaves=derivation.negative_supports,
         )
+
+
+def _discard(index: Dict, key, fact: Atom) -> None:
+    """Remove *fact* from ``index[key]``, dropping the bucket once empty."""
+    bucket = index.get(key)
+    if bucket is not None:
+        bucket.discard(fact)
+        if not bucket:
+            del index[key]

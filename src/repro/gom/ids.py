@@ -13,7 +13,7 @@ ones of the same kind) so extensions render deterministically.
 
 from __future__ import annotations
 
-import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -64,15 +64,19 @@ class IdFactory:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, itertools.count] = {
-            kind: itertools.count(1) for kind in KINDS
-        }
+        #: The next number of every kind; guarded by ``_lock`` so
+        #: concurrent callers never receive the same identifier.
+        self._next: Dict[str, int] = {kind: 1 for kind in KINDS}
+        self._lock = threading.Lock()
 
     def fresh(self, kind: str) -> Id:
         """Return the next identifier of the given kind."""
-        if kind not in self._counters:
+        if kind not in self._next:
             raise ValueError(f"unknown id kind {kind!r}")
-        return Id(kind, number=next(self._counters[kind]))
+        with self._lock:
+            number = self._next[kind]
+            self._next[kind] = number + 1
+        return Id(kind, number=number)
 
     def schema(self) -> Id:
         return self.fresh("sid")
@@ -101,13 +105,8 @@ class IdFactory:
         commit records carry the counter frontier so evolution resumes
         seamlessly after a reload or a crash recovery.
         """
-        numbers: Dict[str, int] = {}
-        for kind in KINDS:
-            counter = self._counters[kind]
-            probe = next(counter)
-            numbers[kind] = probe
-            self._counters[kind] = itertools.chain([probe], counter)
-        return numbers
+        with self._lock:
+            return dict(self._next)
 
     def resume(self, kind: str, next_number: int) -> None:
         """Restart a kind's counter so :meth:`fresh` yields *next_number*.
@@ -116,10 +115,10 @@ class IdFactory:
         is ignored, so replaying several commit records in log order
         never reuses an identifier.
         """
-        if kind not in self._counters:
+        if kind not in self._next:
             raise ValueError(f"unknown id kind {kind!r}")
-        current = next(self._counters[kind])
-        self._counters[kind] = itertools.count(max(current, next_number))
+        with self._lock:
+            self._next[kind] = max(self._next[kind], next_number)
 
 
 def builtin_type_id(name: str) -> Id:

@@ -94,6 +94,21 @@ class TestProvenanceIndex:
         assert index.facts_supported_by(support) == set()
         assert len(index) == 0
 
+    def test_dropped_facts_leave_no_empty_buckets(self):
+        """Dropping every derivation empties the reverse maps, so they
+        do not grow with the number of facts ever derived."""
+        index = ProvenanceIndex()
+        for number in range(50):
+            fact = Atom("p", (number,))
+            index.record(derivation(fact, pos=[Atom("q", (number,))],
+                                    neg=[Atom("r", (number,))]))
+        for number in range(25):
+            index.drop_fact(Atom("p", (number,)))
+        assert index.clear_predicate("p") == 25
+        assert index._by_support == {}
+        assert index._by_negative == {}
+        assert index._by_pred == {}
+
     def test_multiple_derivations_listed(self):
         index = ProvenanceIndex()
         fact = Atom("p", (1,))

@@ -1,5 +1,8 @@
 """Unit tests for identifiers."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.gom.ids import (
@@ -62,6 +65,58 @@ class TestIdFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             IdFactory().fresh("zid")
+
+    def test_peek_consumes_nothing(self):
+        factory = IdFactory()
+        factory.type()
+        assert factory.next_numbers()["tid"] == 2
+        assert factory.next_numbers()["tid"] == 2
+        assert repr(factory.type()) == "tid_2"
+
+    def test_peeking_retains_nothing(self):
+        """Every commit peeks the counters; the factory must not grow
+        with the number of peeks."""
+        factory = IdFactory()
+        factory.next_numbers()
+        after_one = _reachable(factory)
+        for _ in range(1000):
+            factory.next_numbers()
+        assert _reachable(factory) == after_one
+
+    def test_resume_only_moves_forward(self):
+        factory = IdFactory()
+        factory.resume("tid", 10)
+        factory.resume("tid", 5)
+        assert repr(factory.type()) == "tid_10"
+
+    def test_concurrent_fresh_never_repeats(self):
+        factory = IdFactory()
+        results = []
+
+        def allocate():
+            results.extend(factory.fresh("oid").number for _ in range(2000))
+
+        threads = [threading.Thread(target=allocate) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(results) == list(range(1, 8001))
+
+
+def _reachable(root) -> int:
+    """The number of distinct objects reachable from *root*'s state
+    (classes, and everything reachable only through them, excluded)."""
+    seen = {id(root)}
+    todo = [root]
+    while todo:
+        for child in gc.get_referents(todo.pop()):
+            if isinstance(child, type):
+                continue
+            if id(child) not in seen:
+                seen.add(id(child))
+                todo.append(child)
+    return len(seen)
 
 
 class TestWellKnownIds:
