@@ -31,8 +31,9 @@ class ConversionRoutines:
     """The cures the runtime can execute on physical representations.
 
     Cures are transactional with respect to the session that carries
-    them: every per-object slot mutation registers an undo entry on the
-    session (:meth:`EvolutionSession.record_undo`), so a caller-owned
+    them: every per-object slot mutation goes through the runtime's
+    undo-recording writes (:meth:`RuntimeSystem.store_slot` /
+    :meth:`~RuntimeSystem.drop_slot`), so a caller-owned
     session that rolls back restores the object base together with the
     schema — objects are never left converted against a schema change
     that never happened.
@@ -41,20 +42,6 @@ class ConversionRoutines:
     def __init__(self, runtime: RuntimeSystem) -> None:
         self.runtime = runtime
         self.model: GomDatabase = runtime.model
-
-    @staticmethod
-    def _record_slot_undo(session: EvolutionSession, obj: GomObject,
-                          attr: str) -> None:
-        """Register the inverse of one imminent slot write on *session*."""
-        if attr in obj.slots:
-            old = obj.slots[attr]
-
-            def undo(obj=obj, attr=attr, old=old):
-                obj.slots[attr] = old
-        else:
-            def undo(obj=obj, attr=attr):
-                obj.slots.pop(attr, None)
-        session.record_undo(undo)
 
     # -- adding a slot (the paper's fuelType example) ----------------------------
 
@@ -95,7 +82,6 @@ class ConversionRoutines:
                 if attr in obj.slots and not overwrite:
                     continue
                 value = self._produce(obj, source, value_is_operation)
-                self._record_slot_undo(active, obj, attr)
                 self.runtime.set_attr(obj, attr, value)
                 converted += 1
         except Exception:
@@ -196,8 +182,7 @@ class ConversionRoutines:
                     active.remove(fact)
                 for obj in runtime.objects_of(tid):
                     if attr in obj.slots:
-                        self._record_slot_undo(active, obj, attr)
-                        del obj.slots[attr]
+                        runtime.drop_slot(obj, attr)
                         removed += 1
             if has_handlers:
                 active.record_undo(
@@ -238,7 +223,6 @@ class ConversionRoutines:
             for attr, source in sources.items():
                 if attr not in obj.slots:
                     value = self._produce(obj, source, False)
-                    self._record_slot_undo(active, obj, attr)
                     self.runtime.set_attr(obj, attr, value)
                     converted += 1
         if owned:

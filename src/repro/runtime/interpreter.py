@@ -27,6 +27,7 @@ from repro.datalog.terms import Atom
 from repro.gom.ids import Id
 from repro.analyzer import ast_nodes as ast
 from repro.analyzer.parser import parse_code_text
+from repro.runtime.masking import fashion_decl_code
 
 #: The fixed "now" of the date helpers, for deterministic examples: the
 #: paper appeared in 1993.
@@ -81,25 +82,23 @@ class Interpreter:
         Resolution is arity-aware so overloaded declarations (the
         ``overloading`` feature) dispatch on argument count.
         """
-        model = self.runtime.model
-        did = model.resolve_operation(obj.tid, opname, len(args))
-        if did is None:
-            handled, result = self.runtime.handlers.call(obj, opname, args)
+        runtime = self.runtime
+        binding = runtime.lookup(_binding, obj.tid, opname, len(args))
+        if binding is None:
+            handled, result = runtime.handlers.call(obj, opname, args)
             if handled:
                 return result
             return self._fashion_call(obj, opname, args)
-        code = model.code_for(did)
-        if code is None:
+        code_text, home = binding
+        if code_text is None:
             raise MethodLookupError(
                 f"operation {opname!r} of "
-                f"{model.type_name(obj.tid)!r} has no code")
-        home = self._decl_home(did)
-        return self.run_code(code[1], obj, args, home_type=home)
+                f"{runtime.model.type_name(obj.tid)!r} has no code")
+        return self.run_code(code_text, obj, args, home_type=home)
 
     def _fashion_call(self, obj, opname: str, args: List[object]) -> object:
         """Resolve a call through fashion substitutability (§4.1)."""
-        from repro.runtime.masking import fashion_decl_code
-        code_text = fashion_decl_code(self.runtime.model, obj.tid, opname)
+        code_text = self.runtime.lookup(fashion_decl_code, obj.tid, opname)
         if code_text is None:
             raise MethodLookupError(
                 f"operation {opname!r} is not visible at type "
@@ -110,28 +109,20 @@ class Interpreter:
     def call_super(self, frame: _Frame, opname: str,
                    args: List[object]) -> object:
         """Statically bound super call from within *frame*."""
-        model = self.runtime.model
         if frame.home_type is None:
             raise InterpreterError("super call outside an operation body")
-        for super_tid in model.supertypes(frame.home_type):
-            did = model.resolve_operation(super_tid, opname, len(args))
-            if did is not None:
-                code = model.code_for(did)
-                if code is None:
-                    raise MethodLookupError(
-                        f"super operation {opname!r} has no code")
-                home = self._decl_home(did)
-                return self.run_code(code[1], frame.self_obj, args,
-                                     home_type=home)
-        raise MethodLookupError(
-            f"no super operation {opname!r} above "
-            f"{model.type_name(frame.home_type)!r}")
-
-    def _decl_home(self, did: Id) -> Optional[Id]:
-        for fact in self.runtime.model.db.matching(
-                Atom("Decl", (did, None, None, None))):
-            return fact.args[1]
-        return None
+        binding = self.runtime.lookup(_super_binding, frame.home_type,
+                                      opname, len(args))
+        if binding is None:
+            raise MethodLookupError(
+                f"no super operation {opname!r} above "
+                f"{self.runtime.model.type_name(frame.home_type)!r}")
+        code_text, home = binding
+        if code_text is None:
+            raise MethodLookupError(
+                f"super operation {opname!r} has no code")
+        return self.run_code(code_text, frame.self_obj, args,
+                             home_type=home)
 
     def run_code(self, code_text: str, self_obj, args: Sequence[object],
                  home_type: Optional[Id] = None) -> object:
@@ -304,5 +295,41 @@ class Interpreter:
             f"condition evaluated to non-boolean value {value!r}")
 
     def _is_enum_value(self, name: str) -> bool:
-        return next(iter(self.runtime.model.db.matching(
-            Atom("EnumValue", (None, name)))), None) is not None
+        return self.runtime.lookup(_is_enum_value, name)
+
+
+# -- schema answers, memoized by RuntimeSystem.lookup -----------------------------
+
+
+def _binding(model, tid: Id, opname: str,
+             nargs: int) -> Optional[Tuple[Optional[str], Optional[Id]]]:
+    """(code text or None, home type) of the declaration a call of
+    *opname* with *nargs* arguments on *tid* binds to; None if none is
+    visible at *tid*."""
+    did = model.resolve_operation(tid, opname, nargs)
+    if did is None:
+        return None
+    code = model.code_for(did)
+    return (None if code is None else code[1]), _decl_home(model, did)
+
+
+def _super_binding(model, home: Id, opname: str, nargs: int
+                   ) -> Optional[Tuple[Optional[str], Optional[Id]]]:
+    """The binding of ``super.opname`` in a body declared at *home*:
+    the first direct supertype at which the call binds."""
+    for super_tid in model.supertypes(home):
+        binding = _binding(model, super_tid, opname, nargs)
+        if binding is not None:
+            return binding
+    return None
+
+
+def _decl_home(model, did: Id) -> Optional[Id]:
+    for fact in model.db.matching(Atom("Decl", (did, None, None, None))):
+        return fact.args[1]
+    return None
+
+
+def _is_enum_value(model, name: str) -> bool:
+    return next(iter(model.db.matching(
+        Atom("EnumValue", (None, name)))), None) is not None

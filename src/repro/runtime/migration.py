@@ -302,8 +302,8 @@ class MigrationEngine:
         return act.source
 
     def _stamp(self, obj, version: int) -> None:
-        active = getattr(self.model, "active_session", None)
-        if active is not None and active.active:
+        active = self.runtime.open_session()
+        if active is not None:
             old = obj.schema_version
 
             def undo(obj=obj, old=old):

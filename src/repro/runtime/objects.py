@@ -10,13 +10,18 @@ at least one object of the type" holds by construction.
 
 Attribute access goes through :meth:`RuntimeSystem.get_attr` /
 :meth:`set_attr`, which fall back to **fashion** masking when the object
-is an old type version being used as a newer one.
+is an old type version being used as a newer one.  The schema answers
+that access needs (attribute domains, fashion codes, operation bindings,
+domain facts) come from one memo per EDB generation, see
+:meth:`RuntimeSystem.lookup`.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import (
     GomTypeError,
@@ -29,9 +34,12 @@ from repro.gom.builtins import value_conforms
 from repro.gom.ids import Id
 from repro.gom.model import GomDatabase
 from repro.control.session import EvolutionSession
+from repro.runtime.masking import fashion_attr_codes, substitutable
+
+T = TypeVar("T")
 
 
-@dataclass
+@dataclass(slots=True)
 class GomObject:
     """One stored object: identity, type, and slot values.
 
@@ -73,21 +81,73 @@ class RuntimeSystem:
         #: representation is minted — otherwise that representation
         #: would start out violating constraint (*).
         self._deferred_slots: Dict[Id, Dict[str, Id]] = {}
+        #: ``(key, answers)`` of :meth:`lookup`, replaced as one tuple so
+        #: a concurrent reader never pairs a key with another
+        #: generation's answers.
+        self._memo: Tuple[tuple, Dict[tuple, object]] = ((), {})
+        #: Weak references to the open session that created objects and
+        #: to the list its single undo entry discards (see
+        #: :meth:`_created_in`); both die when that session ends.
+        self._created: Optional[Tuple[weakref.ref, weakref.ref]] = None
 
     # -- session plumbing ------------------------------------------------------
 
+    def open_session(self) -> Optional[EvolutionSession]:
+        """The evolution session open on this thread, if any.
+
+        A session belongs to the thread that began it.  One open on
+        another thread (a background drain batch) must not receive this
+        thread's writes or undo entries: it may commit, roll back or
+        close under them.
+        """
+        active = getattr(self.model, "active_session", None)
+        if active is not None and active.active \
+                and active.owner_thread == threading.get_ident():
+            return active
+        return None
+
     def _auto_session(self, session: Optional[EvolutionSession]
                       ) -> Tuple[EvolutionSession, bool]:
-        """Use the given session, join the model's open one, or open a
+        """Use the given session, join this thread's open one, or open a
         short-lived session of our own (returned flag = we own it)."""
         if session is not None:
             return session, False
-        active = getattr(self.model, "active_session", None)
-        if active is not None and active.active:
+        active = self.open_session()
+        if active is not None:
             return active, False
         fresh = EvolutionSession(self.model)
         fresh.register_explainer(self.explainer)
         return fresh, True
+
+    # -- schema answers, memoized per EDB generation -----------------------------
+
+    def lookup(self, compute: Callable[..., T], *args) -> T:
+        """``compute(self.model, *args)``, memoized for the model's state.
+
+        The object path asks the same schema questions on every access;
+        *compute* is the helper that answers one (``fashion_attr_codes``,
+        an operation binding, ...) and stays the only place the answer
+        is worked out.  The memo is keyed by the EDB's modification
+        generation and the rule count.  Every answer is a function of
+        the EDB and the rules (``Attr_i``, ``Decl_i``, ``SubTypRel_t``
+        are maintained from them); the generation only grows, through
+        rollbacks and direct ``model.modify`` calls too; and declaring
+        a predicate without facts changes no answer.  So when the key
+        moves the whole memo is dropped.  Answers are shared between
+        callers: never mutate one.
+        """
+        db = self.model.db
+        key = (db.edb.generation(), len(db.program))
+        memo = self._memo
+        if memo[0] != key:
+            memo = self._memo = (key, {})
+        entry = (compute, *args)
+        answers = memo[1]
+        try:
+            return answers[entry]
+        except KeyError:
+            answer = answers[entry] = compute(self.model, *args)
+            return answer
 
     # -- object lifecycle ---------------------------------------------------------
 
@@ -122,7 +182,7 @@ class RuntimeSystem:
         (GOM is strongly typed — there are no half-initialized objects).
         """
         tid = self._resolve_type(type_ref)
-        attrs = dict(self.model.attributes(tid, inherited=True))
+        attrs = self.lookup(_attribute_domains, tid)
         missing = sorted(set(attrs) - set(values))
         extra = sorted(set(values) - set(attrs))
         if missing:
@@ -145,7 +205,7 @@ class RuntimeSystem:
             self._instances_by_type.setdefault(tid, set()).add(oid)
             # The PhRep/Slot facts roll back via the EDB snapshot; the
             # object store needs explicit compensation.
-            active.record_undo(lambda: self._discard_object(obj))
+            self._created_in(active).append(obj)
         except Exception:
             if owned:
                 active.rollback()
@@ -153,6 +213,29 @@ class RuntimeSystem:
         if owned:
             active.commit()
         return obj
+
+    def _created_in(self, session: EvolutionSession) -> List[GomObject]:
+        """The objects *session* created, undone by one entry on it.
+
+        Bulk creation in one session records a single undo entry instead
+        of one closure per object.  Only the session's undo entry holds
+        the list; the runtime keeps weak references, so neither outlives
+        the session.
+        """
+        created = self._created
+        objects = created[1]() if created is not None \
+            and created[0]() is session else None
+        if objects is None:
+            objects = _CreatedObjects()
+            session.record_undo(lambda: self._discard_created(objects))
+            self._created = (weakref.ref(session), weakref.ref(objects))
+        return objects
+
+    def _discard_created(self, objects: List[GomObject]) -> None:
+        """Rollback of a session's creations, newest first."""
+        for obj in reversed(objects):
+            self._discard_object(obj)
+        objects.clear()
 
     def _discard_object(self, obj: GomObject) -> None:
         """Remove *obj* from the store (rollback of a create)."""
@@ -268,10 +351,11 @@ class RuntimeSystem:
     def store_slot(self, obj: GomObject, attr: str, value: object) -> None:
         """Write a slot value, recording its inverse on the open session.
 
-        The transactional write path for cures and lazy materialization:
-        when an evolution session is active on the model, the previous
-        state of the slot (old value, or absence) is registered as an
-        undo entry first, so a later rollback restores the object.
+        The one write path for attribute writes, cures and lazy
+        materialization: when an evolution session is open on this
+        thread, the previous state of the slot (old value, or absence)
+        is registered as an undo entry first, so a later rollback
+        restores the object.
         """
         self._record_slot_undo(obj, attr)
         obj.slots[attr] = value
@@ -283,8 +367,8 @@ class RuntimeSystem:
             del obj.slots[attr]
 
     def _record_slot_undo(self, obj: GomObject, attr: str) -> None:
-        active = getattr(self.model, "active_session", None)
-        if active is None or not active.active:
+        active = self.open_session()
+        if active is None:
             return
         if attr in obj.slots:
             old = obj.slots[attr]
@@ -363,14 +447,15 @@ class RuntimeSystem:
         Writing an attribute the type declares but the object has no
         slot value for yet (a freshly added attribute, mid-conversion)
         creates the slot value — this is how conversion routines fill
-        new slots.
+        new slots.  The write goes through :meth:`store_slot`, so it
+        rolls back with an open session.
         """
         self.migrations.touch(obj)
-        attrs = dict(self.model.attributes(obj.tid, inherited=True))
-        if name in obj.slots or name in attrs:
-            if check and name in attrs:
-                self._check_conforms(attrs[name], value, name)
-            obj.slots[name] = value
+        domain = self.lookup(_attribute_domains, obj.tid).get(name)
+        if domain is not None or name in obj.slots:
+            if check and domain is not None:
+                self._check_conforms(domain, value, name)
+            self.store_slot(obj, name, value)
             return
         if self.handlers.write(obj, name, value):
             return
@@ -381,8 +466,7 @@ class RuntimeSystem:
             f"fashion masks it")
 
     def _fashion_read(self, obj: GomObject, name: str) -> object:
-        from repro.runtime.masking import fashion_attr_codes
-        codes = fashion_attr_codes(self.model, obj.tid, name)
+        codes = self.lookup(fashion_attr_codes, obj.tid, name)
         if codes is None:
             return _MISSING
         read_code, _write_code = codes
@@ -390,8 +474,7 @@ class RuntimeSystem:
 
     def _fashion_write(self, obj: GomObject, name: str,
                        value: object) -> bool:
-        from repro.runtime.masking import fashion_attr_codes
-        codes = fashion_attr_codes(self.model, obj.tid, name)
+        codes = self.lookup(fashion_attr_codes, obj.tid, name)
         if codes is None:
             return False
         _read_code, write_code = codes
@@ -410,22 +493,15 @@ class RuntimeSystem:
 
     def conforms(self, domain: Id, value: object) -> bool:
         """Value conformance, including fashion-extended substitutability."""
-        domain_name = self.model.type_name(domain)
-        if domain_name is not None and isinstance(domain, Id) \
-                and domain.is_builtin:
-            return value_conforms(domain_name, value)
-        enum_values = self.model.enum_values(domain)
+        builtin_name, enum_values = self.lookup(_domain_facts, domain)
+        if builtin_name is not None:
+            return value_conforms(builtin_name, value)
         if enum_values:
             return value in enum_values
         if isinstance(value, Id) and value.kind == "oid":
             if not self.exists(value):
                 return False
-            value_tid = self.get(value).tid
-            if self.model.is_subtype(value_tid, domain):
-                return True
-            return self.model.db.contains(
-                Atom("FashionType", (value_tid, domain))) \
-                if self.model.db.is_base("FashionType") else False
+            return self.lookup(substitutable, self.get(value).tid, domain)
         if isinstance(value, GomObject):
             return self.conforms(domain, value.oid)
         return False
@@ -437,6 +513,26 @@ class RuntimeSystem:
         """Invoke an operation with dynamic binding (and fashion fallback)."""
         self.migrations.touch(obj)
         return self.interpreter.call(obj, opname, list(args))
+
+
+def _attribute_domains(model: GomDatabase, tid: Id) -> Dict[str, Id]:
+    """name -> domain of *tid*'s attributes, inherited ones included."""
+    return dict(model.attributes(tid, inherited=True))
+
+
+def _domain_facts(model: GomDatabase,
+                  domain: Id) -> Tuple[Optional[str], Tuple[str, ...]]:
+    """(built-in sort name or None, enum values) of an attribute domain."""
+    name = model.type_name(domain)
+    builtin = name if name is not None and isinstance(domain, Id) \
+        and domain.is_builtin else None
+    return builtin, tuple(model.enum_values(domain))
+
+
+class _CreatedObjects(list):
+    """A list the runtime can reference weakly (see ``_created_in``)."""
+
+    __slots__ = ("__weakref__",)
 
 
 class _Missing:
