@@ -31,8 +31,14 @@ from repro.datalog.constraints import (
     ExistenceConclusion,
     FalseConclusion,
 )
+from repro.datalog.compiled import (
+    CompiledPlan,
+    Seeder,
+    _initial_codes,
+    compiled_for,
+)
 from repro.datalog.engine import DeductiveDatabase
-from repro.datalog.plan import EngineStats, _resolve_bound_vars
+from repro.datalog.plan import EngineStats, JoinPlan, _resolve_bound_vars
 from repro.datalog.terms import Atom, Literal, Substitution, Variable, match, unify
 
 #: Marks threads that already run on a shared reader pool.  A parallel
@@ -41,6 +47,11 @@ from repro.datalog.terms import Atom, Literal, Substitution, Variable, match, un
 #: that is a deadlock — so :meth:`ConsistencyChecker.check` silently
 #: degrades to the serial path there.
 _POOL_WORKER = threading.local()
+
+#: Suffix of the ``deleted_facts`` key that marks a shrunk derived
+#: predicate without an exact delta (see
+#: :meth:`ConsistencyChecker._extend_with_derived_deltas`).
+_FULL = "!full"
 
 
 def mark_pool_worker(active: bool) -> None:
@@ -135,16 +146,33 @@ class ConsistencyChecker:
         #: Bumped whenever the constraint set changes, so a cached check
         #: report can tell whether it still covers every constraint.
         self.generation = 0
-        for constraint in constraints:
-            self.add_constraint(constraint)
+        #: The delta check's relevance index — predicate -> positions of
+        #: the constraints mentioning it, plus each constraint's
+        #: :class:`_Shape` — and the generation it was built for.
+        self._index: Dict[str, Tuple[int, ...]] = {}
+        self._shapes: List[_Shape] = []
+        self._index_generation = -1
+        self.add_constraints(constraints)
 
     # -- constraint registry ---------------------------------------------------
 
     def add_constraint(self, constraint: Constraint) -> None:
-        if constraint.name in self._by_name:
-            raise ValueError(f"constraint {constraint.name} already registered")
-        self._by_name[constraint.name] = constraint
-        self._constraints.append(constraint)
+        self.add_constraints((constraint,))
+
+    def add_constraints(self, constraints: Iterable[Constraint]) -> None:
+        """Register *constraints* in order, as one change of the set."""
+        constraints = list(constraints)
+        names: Set[str] = set()
+        for constraint in constraints:
+            if constraint.name in self._by_name or constraint.name in names:
+                raise ValueError(
+                    f"constraint {constraint.name} already registered")
+            names.add(constraint.name)
+        if not constraints:
+            return
+        for constraint in constraints:
+            self._by_name[constraint.name] = constraint
+            self._constraints.append(constraint)
         self.generation += 1
         # Premises/conclusions are planned through the shared cache; a new
         # constraint may reuse a body shape with different binding needs.
@@ -272,61 +300,82 @@ class ConsistencyChecker:
 
     def _check_constraint(self, constraint: Constraint,
                           seed: Optional[Substitution] = None,
-                          stats: Optional[EngineStats] = None
-                          ) -> Iterator[Violation]:
-        if getattr(self.database, "executor", "interpreted") == "compiled":
-            found = self._check_constraint_compiled(constraint, seed, stats)
-            if found is not None:
-                yield from found
-                return
-        for theta in self.database.query(constraint.premise, seed):
+                          stats: Optional[EngineStats] = None,
+                          plan: Optional[JoinPlan] = None
+                          ) -> Iterable[Violation]:
+        """Violations among the premise instantiations extending *seed*.
+
+        *plan* is the premise planned for *seed*'s bindings, when the
+        caller has it already.  A warm plan under the compiled executor
+        seeds its registers from *seed*; otherwise the run takes the
+        interpreter (counting one tiering step, as every run does).
+        """
+        database = self.database
+        if plan is None:
+            plan = database.planner.plan(
+                constraint.premise,
+                _resolve_bound_vars(seed, constraint.premise))
+        if plan.use_compiled(database):
+            compiled = compiled_for(plan, database)
+            init = _initial_codes(plan, database, seed, compiled.bound_slots)
+            if init is not None:
+                found = self._compiled_violations(constraint, plan, compiled,
+                                                  init, seed, stats)
+                if found is not None:
+                    return found
+            (stats if stats is not None
+             else database.stats).compiled_fallbacks += 1
+        return self._interpreted_violations(constraint, plan, seed)
+
+    def _interpreted_violations(self, constraint: Constraint, plan: JoinPlan,
+                                seed: Optional[Substitution]
+                                ) -> Iterator[Violation]:
+        for theta in plan.interpret_substitutions(self.database, seed):
             if not self._conclusion_holds(constraint.conclusion, theta):
                 yield self._make_violation(constraint, theta)
 
-    def _check_constraint_compiled(self, constraint: Constraint,
-                                   seed: Optional[Substitution],
-                                   stats: Optional[EngineStats]
-                                   ) -> Optional[List[Violation]]:
-        """One constraint through the compiled executor, code-level.
+    def _compiled_violations(self, constraint: Constraint, plan: JoinPlan,
+                             compiled: CompiledPlan,
+                             init: Sequence[Optional[int]],
+                             seed: Optional[Substitution],
+                             stats: Optional[EngineStats]
+                             ) -> Optional[List[Violation]]:
+        """One premise run through the compiled executor, code-level.
 
         The premise closure yields raw register tuples; the conclusion
         is tested per tuple without ever materializing a substitution —
         ``=`` / ``!=`` compare codes, ordering decodes through the
         shared symbol table, and existence disjuncts probe with
-        pre-mapped registers and ``limit=1``.  The per-probe planner
-        lookup and binding resolution of the generic path (the dominant
-        cost of a full check) are hoisted out of the row loop entirely.
-        A substitution is decoded only for the rows that violate.
-        Returns None when the premise cannot take the compiled path.
+        pre-mapped registers and ``limit=1``.  The conclusion is
+        prepared once per plan (:meth:`_prepare_conclusion`), so no
+        planner lookup or binding resolution happens per row or per
+        seed.  A substitution is decoded only for the rows that violate.
+        Returns None when the conclusion cannot take the compiled path.
         """
-        from repro.datalog.compiled import _initial_codes, compiled_for
-
         database = self.database
         if stats is None:
             stats = database.stats
-        premise = constraint.premise
-        plan = database.planner.plan(
-            premise, _resolve_bound_vars(seed, premise))
-        if not plan.use_compiled(database):
-            return None  # cold plan: one more interpreted run
-        compiled = compiled_for(plan, database)
-        init = _initial_codes(plan, database, seed, compiled.bound_slots)
-        if init is None:
-            return None
         rows = compiled.runner(database, init, 0, stats)
         if not rows:
             return []
+        conclusion = constraint.conclusion
+        try:
+            prepared = compiled.conclusions[conclusion]
+        except KeyError:
+            prepared = compiled.conclusions[conclusion] = \
+                self._prepare_conclusion(plan, conclusion)
+        if prepared is None:
+            return None
         symbols = database.symbols
         values = symbols.values
-        var_slots = plan.var_slots
+        var_items = compiled.var_items
 
         def theta_of(regs) -> Substitution:
             theta: Substitution = dict(seed) if seed else {}
-            for var, slot in compiled.var_items:
+            for var, slot in var_items:
                 theta[var] = values[regs[slot]]
             return theta
 
-        conclusion = constraint.conclusion
         violations: List[Violation] = []
         if isinstance(conclusion, FalseConclusion):
             for regs in rows:
@@ -335,22 +384,8 @@ class ConsistencyChecker:
             return violations
 
         if isinstance(conclusion, EqualityConclusion):
-            # (op, (is_slot, slot-or-value), (is_slot, slot-or-value));
-            # every universal variable is premise-bound, hence slotted.
-            tests = []
-            for comparison in conclusion.comparisons:
-                sides = []
-                for term in (comparison.left, comparison.right):
-                    if isinstance(term, Variable):
-                        slot = var_slots.get(term)
-                        if slot is None:
-                            return None
-                        sides.append((True, slot))
-                    else:
-                        sides.append((False, term))
-                tests.append((comparison.op, sides[0], sides[1]))
             for regs in rows:
-                for op, (left_slot, left), (right_slot, right) in tests:
+                for op, (left_slot, left), (right_slot, right) in prepared:
                     stats.comparisons_evaluated += 1
                     if op in ("=", "!="):
                         lhs = regs[left] if left_slot else symbols.code(left)
@@ -368,9 +403,50 @@ class ConsistencyChecker:
                         break
             return violations
 
+        # ExistenceConclusion: one limit-1 probe per disjunct.
+        for regs in rows:
+            satisfied = False
+            for runner, nslots, pairs in prepared:
+                disjunct_init: List[Optional[int]] = [None] * nslots
+                for premise_slot, disjunct_slot in pairs:
+                    disjunct_init[disjunct_slot] = regs[premise_slot]
+                if runner(database, disjunct_init, 1, stats):
+                    satisfied = True
+                    break
+            if not satisfied:
+                violations.append(
+                    self._make_violation(constraint, theta_of(regs)))
+        return violations
+
+    def _prepare_conclusion(self, plan: JoinPlan, conclusion: Conclusion):
+        """*conclusion* against *plan*'s registers (cached by the caller
+        on the plan's :class:`CompiledPlan`, so it dies with the plan).
+
+        Equality: ``(op, (is_slot, slot-or-value), (is_slot,
+        slot-or-value))`` tests.  Existence: per disjunct, the probe
+        closure, its register count, and the premise-slot ->
+        disjunct-slot seed map.  None when a universal variable is not
+        slotted by the premise (the run then takes the interpreter).
+        """
+        var_slots = plan.var_slots
+        if isinstance(conclusion, FalseConclusion):
+            return ()
+        if isinstance(conclusion, EqualityConclusion):
+            tests = []
+            for comparison in conclusion.comparisons:
+                sides = []
+                for term in (comparison.left, comparison.right):
+                    if isinstance(term, Variable):
+                        slot = var_slots.get(term)
+                        if slot is None:
+                            return None
+                        sides.append((True, slot))
+                    else:
+                        sides.append((False, term))
+                tests.append((comparison.op, sides[0], sides[1]))
+            return tuple(tests)
         if isinstance(conclusion, ExistenceConclusion):
-            # Per disjunct (hoisted out of the row loop): the plan, its
-            # closure, and the premise-slot -> disjunct-slot seed map.
+            database = self.database
             probes = []
             for disjunct in conclusion.disjuncts:
                 body = disjunct.body()
@@ -392,20 +468,7 @@ class ConsistencyChecker:
                     return None  # universal var the premise never slots
                 probes.append((disjunct_compiled.runner,
                                disjunct_plan.nslots, pairs))
-            for regs in rows:
-                satisfied = False
-                for runner, nslots, pairs in probes:
-                    disjunct_init: List[Optional[int]] = [None] * nslots
-                    for premise_slot, disjunct_slot in pairs:
-                        disjunct_init[disjunct_slot] = regs[premise_slot]
-                    if runner(database, disjunct_init, 1, stats):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    violations.append(
-                        self._make_violation(constraint, theta_of(regs)))
-            return violations
-
+            return tuple(probes)
         raise TypeError(
             f"unknown conclusion type {type(conclusion).__name__}")
 
@@ -480,23 +543,36 @@ class ConsistencyChecker:
                                          added_facts, deleted_facts,
                                          derived_before, derived_delta)
 
+        # Only a constraint mentioning a touched predicate can be newly
+        # violated: visit those, in registration order.
+        full_preds = {key[:-len(_FULL)] for key in deleted_facts
+                      if key.endswith(_FULL)}
+        touched = set(full_preds)
+        touched.update(pred for pred, facts in added_facts.items() if facts)
+        touched.update(pred for pred, facts in deleted_facts.items()
+                       if facts)
+        shapes, index = self._relevance_index()
+        positions: Set[int] = set()
+        for pred in touched:
+            positions.update(index.get(pred, ()))
+
         stats = self.database.stats
         stats.checks_run += 1
         violations: List[Violation] = []
         seen: Set[Tuple] = set()
-        checked = 0
         tracer = self.database.obs.tracer
         with tracer.span("check.delta",
                          base_plus=len(additions),
                          base_minus=len(deletions)) as span:
-            for constraint in self._constraints:
+            for position in sorted(positions):
+                shape = shapes[position]
+                constraint = shape.constraint
                 constraint_start = time.perf_counter()
                 with tracer.span("check.constraint",
                                  constraint=constraint.name) as cspan:
                     found = 0
-                    relevant = self._seeded_checks(constraint, may_grow,
-                                                   may_shrink, added_facts,
-                                                   deleted_facts)
+                    relevant = self._seeded_checks(shape, full_preds,
+                                                   added_facts, deleted_facts)
                     for violation in relevant:
                         key = _violation_key(constraint,
                                              violation.substitution)
@@ -507,13 +583,29 @@ class ConsistencyChecker:
                     cspan.set("violations", found)
                 stats.record_constraint(
                     constraint.name, time.perf_counter() - constraint_start)
-                checked += 1
             span.set("violations", len(violations))
+        checked = len(positions)
         stats.constraints_checked += checked
         stats.violations_found += len(violations)
         elapsed = time.perf_counter() - start
         return CheckReport(violations=violations, constraints_checked=checked,
                            elapsed_seconds=elapsed, mode="delta")
+
+    def _relevance_index(self) -> Tuple[List["_Shape"],
+                                         Dict[str, Tuple[int, ...]]]:
+        """Per-constraint shapes and the predicate index, rebuilt when
+        :attr:`generation` has moved since the last delta check."""
+        if self._index_generation != self.generation:
+            shapes = [_Shape(constraint) for constraint in self._constraints]
+            index: Dict[str, List[int]] = {}
+            for position, shape in enumerate(shapes):
+                for pred in shape.preds:
+                    index.setdefault(pred, []).append(position)
+            self._shapes = shapes
+            self._index = {pred: tuple(found)
+                           for pred, found in index.items()}
+            self._index_generation = self.generation
+        return self._shapes, self._index
 
     def _polarity_closure(self, base_added: Set[str], base_deleted: Set[str]
                           ) -> Tuple[Set[str], Set[str]]:
@@ -597,21 +689,23 @@ class ConsistencyChecker:
                 # over the constraint, handled in _seeded_checks.
                 if pred in may_shrink:
                     deleted_facts.setdefault(pred, [])
-                    deleted_facts[pred + "!full"] = []
+                    deleted_facts[pred + _FULL] = []
         if fallbacks:
             self.database.stats.delta_fallbacks += fallbacks
 
-    def _seeded_checks(self, constraint: Constraint, may_grow: Set[str],
-                       may_shrink: Set[str],
+    def _seeded_checks(self, shape: "_Shape", full_preds: Set[str],
                        added_facts: Dict[str, List[Atom]],
                        deleted_facts: Dict[str, List[Atom]]
                        ) -> Iterator[Violation]:
-        """Yield violations of *constraint* creatable by the delta."""
-        needs_full = False
-        for pred in constraint.predicates():
-            if f"{pred}!full" in deleted_facts:
-                needs_full = True
-        if needs_full:
+        """Yield violations of one constraint creatable by the delta.
+
+        Each seeding literal is planned once per check with its own
+        variables bound — exactly what a ground seed fact binds — and
+        every seed fact then runs that plan through one
+        :class:`~repro.datalog.compiled.Seeder`.
+        """
+        constraint = shape.constraint
+        if not full_preds.isdisjoint(shape.preds):
             yield from self._check_constraint(constraint)
             return
 
@@ -623,40 +717,87 @@ class ConsistencyChecker:
                 emitted.add(key)
                 yield violation
 
+        database = self.database
+        planner = database.planner
+        premise = constraint.premise
         # 1. New premise matches through grown positive literals.
-        for literal in constraint.positive_premise_literals():
-            for fact in added_facts.get(literal.pred, ()):
-                seed = match(literal.atom, fact)
-                if seed is None:
-                    continue
-                for violation in self._check_constraint(constraint, seed):
-                    yield from emit(violation)
         # 2. New premise matches through shrunk negated literals.
-        for literal in constraint.negative_premise_literals():
-            for fact in deleted_facts.get(literal.pred, ()):
-                seed = match(literal.atom, fact)
-                if seed is None:
+        for seeding, source in ((shape.positive, added_facts),
+                                (shape.negative, deleted_facts)):
+            for literal, bound in seeding:
+                facts = source.get(literal.pred)
+                if not facts:
                     continue
-                for violation in self._check_constraint(constraint, seed):
-                    yield from emit(violation)
+                plan = planner.plan(premise, bound)
+                seeder = Seeder(plan, database, literal.atom)
+                for fact in facts:
+                    seeded = seeder.seed(fact)
+                    if seeded is None:
+                        continue
+                    compiled, bound_seed = seeded
+                    if compiled is None:
+                        found = self._interpreted_violations(
+                            constraint, plan, bound_seed)
+                    else:
+                        found = self._compiled_violations(
+                            constraint, plan, compiled, bound_seed,
+                            seed=None, stats=None)
+                        if found is None:
+                            database.stats.compiled_fallbacks += 1
+                            found = self._interpreted_violations(
+                                constraint, plan, match(literal.atom, fact))
+                    for violation in found:
+                        yield from emit(violation)
         # 3. Conclusion support removed: premise instantiations whose
         #    existence conclusion may have used a deleted fact.
+        universal = shape.universal
+        for atom, bound in shape.support:
+            facts = deleted_facts.get(atom.pred)
+            if not facts:
+                continue
+            plan = planner.plan(premise, bound)
+            for fact in facts:
+                seed_full = unify(atom, fact)
+                if seed_full is None:
+                    continue
+                seed = {
+                    var: value
+                    for var, value in seed_full.items()
+                    if var in universal
+                }
+                for violation in self._check_constraint(constraint, seed,
+                                                        plan=plan):
+                    yield from emit(violation)
+
+
+class _Shape:
+    """What the delta check needs of one constraint, computed once per
+    constraint-set generation: the predicates it mentions, and per
+    seeding literal or conclusion atom the premise variables a seed
+    binds."""
+
+    __slots__ = ("constraint", "preds", "positive", "negative",
+                 "universal", "support")
+
+    def __init__(self, constraint: Constraint) -> None:
+        self.constraint = constraint
+        self.preds = frozenset(constraint.predicates())
+        self.positive = tuple(
+            (literal, frozenset(literal.variables()))
+            for literal in constraint.positive_premise_literals())
+        self.negative = tuple(
+            (literal, frozenset(literal.variables()))
+            for literal in constraint.negative_premise_literals())
+        self.universal = frozenset(constraint.universal_variables())
+        premise_vars = constraint.premise_variables()
+        support: List[Tuple[Atom, FrozenSet[Variable]]] = []
         if isinstance(constraint.conclusion, ExistenceConclusion):
-            universal = constraint.universal_variables()
             for disjunct in constraint.conclusion.disjuncts:
                 for atom in disjunct.atoms:
-                    for fact in deleted_facts.get(atom.pred, ()):
-                        seed_full = unify(atom, fact)
-                        if seed_full is None:
-                            continue
-                        seed = {
-                            var: value
-                            for var, value in seed_full.items()
-                            if var in universal
-                        }
-                        for violation in self._check_constraint(
-                                constraint, seed):
-                            yield from emit(violation)
+                    support.append((atom, frozenset(
+                        var for var in atom.variables()
+                        if var in self.universal and var in premise_vars)))
+        self.support = tuple(support)
 
 
 def snapshot_derived(database: DeductiveDatabase,

@@ -30,11 +30,19 @@ scanned row position is a fixed constant, a bound register, or an out
 register, so the supports are reconstructed from the final registers
 and per-step metadata alone.
 
+Seeded runs — one per delta fact in the incremental checker and in
+view maintenance — bind straight from the fact: a per-pattern *seed
+spec* (cached on the :class:`CompiledPlan`, like the head specs)
+compares the pattern's constants and repeated variables against the
+fact and interns its arguments into a fresh register list, with no
+substitution dict in between (:class:`Seeder`).
+
 Entry points return ``None`` when a call cannot be compiled faithfully
 (currently: a seed grounding variables the plan was not compiled as
 bound for); callers then fall back to the interpreted executor, which
 remains the behavioural reference — see
-``tests/datalog/test_executor_equivalence.py``.
+``tests/datalog/test_executor_equivalence.py``.  Each such run on a warm
+plan counts in ``EngineStats.compiled_fallbacks``.
 """
 
 from __future__ import annotations
@@ -43,15 +51,25 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.datalog.builtins import compare_values
 from repro.datalog.plan import _BIND, _CMP, _NEG, _SCAN, JoinPlan
-from repro.datalog.terms import Atom, Substitution, Variable, substitute_term
+from repro.datalog.terms import (
+    Atom,
+    Substitution,
+    Variable,
+    match,
+    substitute_term,
+)
 
 __all__ = [
+    "Seeder",
+    "bind_seed",
     "compiled_for",
+    "derive_rows",
+    "head_spec",
     "probe",
-    "run_codes",
     "run_derivations",
     "run_rule_derivations",
     "run_substitutions",
+    "seed_spec",
 ]
 
 #: Missing-entry sentinel distinguishable from every legitimate value
@@ -64,7 +82,8 @@ class CompiledPlan:
     """One plan's lowered closure plus the static decode metadata."""
 
     __slots__ = ("runner", "bound_slots", "var_items", "pos_spec",
-                 "neg_spec", "source", "head_specs")
+                 "neg_spec", "source", "head_specs", "seed_specs",
+                 "conclusions", "__weakref__")
 
     def __init__(self, runner, bound_slots, var_items, pos_spec, neg_spec,
                  source) -> None:
@@ -85,6 +104,13 @@ class CompiledPlan:
         #: (a plan serves one rule, but the seeded maintenance paths
         #: call it thousands of times per saturation).
         self.head_specs: dict = {}
+        #: Per-pattern seed spec cache for :func:`bind_seed` (``None``:
+        #: the pattern does not bind exactly the plan's bound slots).
+        self.seed_specs: dict = {}
+        #: Constraint conclusions prepared against this plan's registers
+        #: by the checker (equality tests, existence probes); they die
+        #: with the plan, like the closure itself.
+        self.conclusions: dict = {}
 
 
 def compiled_for(plan: JoinPlan, database) -> CompiledPlan:
@@ -420,15 +446,6 @@ def _initial_codes(plan: JoinPlan, database,
     return init
 
 
-def run_codes(plan: JoinPlan, database, init: Sequence[Optional[int]],
-              limit: int = 0, stats=None) -> List[Tuple[int, ...]]:
-    """Raw register tuples for pre-encoded seeds (checker fast path)."""
-    compiled = compiled_for(plan, database)
-    return compiled.runner(database, init,
-                           limit, stats if stats is not None
-                           else database.stats)
-
-
 def run_substitutions(plan: JoinPlan, database,
                       theta: Optional[Substitution] = None
                       ) -> Optional[List[Substitution]]:
@@ -436,6 +453,7 @@ def run_substitutions(plan: JoinPlan, database,
     compiled = compiled_for(plan, database)
     init = _initial_codes(plan, database, theta, compiled.bound_slots)
     if init is None:
+        database.stats.compiled_fallbacks += 1
         return None
     rows = compiled.runner(database, init, 0, database.stats)
     values = database.symbols.values
@@ -455,6 +473,7 @@ def probe(plan: JoinPlan, database,
     compiled = compiled_for(plan, database)
     init = _initial_codes(plan, database, theta, compiled.bound_slots)
     if init is None:
+        database.stats.compiled_fallbacks += 1
         return None
     return bool(compiled.runner(database, init, 1, database.stats))
 
@@ -475,6 +494,7 @@ def run_derivations(plan: JoinPlan, database,
     compiled = compiled_for(plan, database)
     init = _initial_codes(plan, database, theta, compiled.bound_slots)
     if init is None:
+        database.stats.compiled_fallbacks += 1
         return None
     rows = compiled.runner(database, init, 0, database.stats)
     values = database.symbols.values
@@ -492,6 +512,48 @@ def run_derivations(plan: JoinPlan, database,
     return out
 
 
+def head_spec(compiled: CompiledPlan, plan: JoinPlan, head: Atom
+              ) -> Optional[Tuple[Tuple[bool, object], ...]]:
+    """The (cached) register decode spec of a rule *head*, or None when
+    the body never binds one of its variables."""
+    spec = compiled.head_specs.get(head, _ABSENT)
+    if spec is _ABSENT:
+        var_slots = plan.var_slots
+        items: Optional[List[Tuple[bool, object]]] = []
+        for arg in head.args:
+            if isinstance(arg, Variable):
+                slot = var_slots.get(arg)
+                if slot is None:
+                    items = None  # head variable the body never binds
+                    break
+                items.append((True, slot))
+            else:
+                items.append((False, arg))
+        spec = compiled.head_specs[head] = \
+            tuple(items) if items is not None else None
+    return spec
+
+
+def derive_rows(compiled: CompiledPlan, database, pred: str, spec,
+                init: Sequence[Optional[int]]
+                ) -> List[Tuple[Atom, Tuple[Atom, ...], Tuple[Atom, ...]]]:
+    """Run *compiled* from *init*; one (head fact, positive supports,
+    negative supports) triple per row, the head decoded through *spec*
+    (see :func:`head_spec`)."""
+    rows = compiled.runner(database, init, 0, database.stats)
+    values = database.symbols.values
+    pos_spec = compiled.pos_spec
+    neg_spec = compiled.neg_spec
+    out = []
+    for regs in rows:
+        fact = Atom(pred, tuple(values[regs[arg]] if is_slot else arg
+                                for is_slot, arg in spec))
+        out.append((fact,
+                    _decode_atoms(pos_spec, regs, values),
+                    _decode_atoms(neg_spec, regs, values)))
+    return out
+
+
 def run_rule_derivations(plan: JoinPlan, database, head: Atom,
                          theta: Optional[Substitution] = None
                          ) -> Optional[List[Tuple[Atom, Tuple[Atom, ...],
@@ -503,35 +565,125 @@ def run_rule_derivations(plan: JoinPlan, database, head: Atom,
     """
     compiled = compiled_for(plan, database)
     init = _initial_codes(plan, database, theta, compiled.bound_slots)
-    if init is None:
+    spec = head_spec(compiled, plan, head) if init is not None else None
+    if spec is None:
+        database.stats.compiled_fallbacks += 1
         return None
-    head_spec = compiled.head_specs.get(head, _ABSENT)
-    if head_spec is _ABSENT:
+    return derive_rows(compiled, database, head.pred, spec, init)
+
+
+# -- seeding from ground facts ----------------------------------------------
+
+
+class SeedSpec:
+    """How one pattern binds a plan's registers from a ground fact."""
+
+    __slots__ = ("pred", "arity", "consts", "repeats", "binds", "nslots")
+
+    def __init__(self, pred, arity, consts, repeats, binds, nslots) -> None:
+        self.pred = pred
+        self.arity = arity
+        #: ``(position, value)``: the fact must carry *value* there.
+        self.consts = consts
+        #: ``(position, first_position)``: a repeated variable.
+        self.repeats = repeats
+        #: ``(position, slot)``: intern the argument into *slot*, in
+        #: slot order (the order :func:`_initial_codes` interns in).
+        self.binds = binds
+        self.nslots = nslots
+
+
+def seed_spec(compiled: CompiledPlan, plan: JoinPlan,
+              pattern: Atom) -> Optional[SeedSpec]:
+    """The (cached) seed spec of *pattern* against *plan*.
+
+    None when the pattern's variables do not bind exactly the plan's
+    bound slots — a seed from it would make :func:`_initial_codes`
+    return None for every fact, so such runs take the interpreter.
+    """
+    spec = compiled.seed_specs.get(pattern, _ABSENT)
+    if spec is _ABSENT:
         var_slots = plan.var_slots
-        spec: List[Tuple[bool, object]] = []
-        for arg in head.args:
-            if isinstance(arg, Variable):
-                slot = var_slots.get(arg)
-                if slot is None:
-                    spec = None  # head variable the body never binds
-                    break
-                spec.append((True, slot))
+        consts: List[Tuple[int, object]] = []
+        repeats: List[Tuple[int, int]] = []
+        binds: List[Tuple[int, int]] = []
+        first: Dict[Variable, int] = {}
+        for position, arg in enumerate(pattern.args):
+            if not isinstance(arg, Variable):
+                consts.append((position, arg))
+            elif arg in first:
+                repeats.append((position, first[arg]))
             else:
-                spec.append((False, arg))
-        head_spec = compiled.head_specs[head] = \
-            tuple(spec) if spec is not None else None
-    if head_spec is None:
+                first[arg] = position
+                slot = var_slots.get(arg)
+                if slot is not None:
+                    binds.append((position, slot))
+        binds.sort(key=lambda item: item[1])
+        if {slot for _position, slot in binds} == compiled.bound_slots:
+            spec = SeedSpec(pattern.pred, pattern.arity, tuple(consts),
+                            tuple(repeats), tuple(binds), plan.nslots)
+        else:
+            spec = None
+        compiled.seed_specs[pattern] = spec
+    return spec
+
+
+def bind_seed(spec: SeedSpec, fact: Atom,
+              intern) -> Optional[List[Optional[int]]]:
+    """Registers seeded from the ground *fact*, or None when it does not
+    match the spec's pattern (exactly when :func:`match` returns None)."""
+    args = fact.args
+    if fact.pred != spec.pred or len(args) != spec.arity:
         return None
-    rows = compiled.runner(database, init, 0, database.stats)
-    values = database.symbols.values
-    pos_spec = compiled.pos_spec
-    neg_spec = compiled.neg_spec
-    pred = head.pred
-    out = []
-    for regs in rows:
-        fact = Atom(pred, tuple(values[regs[arg]] if is_slot else arg
-                                for is_slot, arg in head_spec))
-        out.append((fact,
-                    _decode_atoms(pos_spec, regs, values),
-                    _decode_atoms(neg_spec, regs, values)))
-    return out
+    for position, value in spec.consts:
+        if value != args[position]:
+            return None
+    for position, first in spec.repeats:
+        if args[first] != args[position]:
+            return None
+    init: List[Optional[int]] = [None] * spec.nslots
+    for position, slot in spec.binds:
+        init[slot] = intern(args[position])
+    return init
+
+
+class Seeder:
+    """Runs of one plan, each seeded by a ground fact matching *pattern*.
+
+    :meth:`seed` takes the tiering decision once per run.  A warm plan
+    binds the fact straight into registers through the pattern's seed
+    spec; a cold plan (or the interpreted executor) gets the
+    :func:`match` substitution instead, for the interpreter.
+    """
+
+    __slots__ = ("plan", "database", "pattern", "compiled", "spec",
+                 "intern")
+
+    def __init__(self, plan: JoinPlan, database, pattern: Atom) -> None:
+        self.plan = plan
+        self.database = database
+        self.pattern = pattern
+        self.compiled: Optional[CompiledPlan] = None
+        self.spec: Optional[SeedSpec] = None
+        self.intern = database.symbols.intern
+
+    def seed(self, fact: Atom):
+        """``(compiled, registers)`` for a compiled run, ``(None,
+        substitution)`` for an interpreted one, or None when *fact* does
+        not match the pattern (no run)."""
+        spec = self.spec
+        if spec is not None:
+            init = bind_seed(spec, fact, self.intern)
+            return None if init is None else (self.compiled, init)
+        theta = match(self.pattern, fact)
+        if theta is None:
+            return None
+        plan = self.plan
+        if plan.use_compiled(self.database):
+            compiled = compiled_for(plan, self.database)
+            spec = seed_spec(compiled, plan, self.pattern)
+            if spec is not None:
+                self.compiled, self.spec = compiled, spec
+                return compiled, bind_seed(spec, fact, self.intern)
+            self.database.stats.compiled_fallbacks += 1
+        return None, theta

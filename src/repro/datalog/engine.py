@@ -45,6 +45,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.errors import UnknownPredicateError
 from repro.datalog.builtins import Comparison
+from repro.datalog.compiled import (
+    Seeder,
+    derive_rows,
+    head_spec,
+    run_rule_derivations,
+)
 from repro.datalog.facts import FactStore, PredicateDecl, Relation
 from repro.datalog.plan import EngineStats, JoinPlan, QueryPlanner
 from repro.datalog.provenance import Derivation, DerivationTree, ProvenanceIndex
@@ -435,12 +441,11 @@ class DeductiveDatabase:
                                       for p in preds))
                 self.obs.metrics.counter("engine.saturations").inc()
 
-    def _rule_derivations(self, rule: Rule, plan: JoinPlan,
-                          seed: Optional[Substitution] = None
+    def _rule_derivations(self, rule: Rule, plan: JoinPlan
                           ) -> List[Tuple[Atom, Tuple[Atom, ...],
                                           Tuple[Atom, ...]]]:
         """``(head fact, positive supports, negative supports)`` triples
-        for one rule body plan, buffered.
+        for one unseeded rule body plan, buffered.
 
         Buffering matters: every caller records derivations into the
         stores the evaluation reads.  Under the compiled executor the
@@ -449,12 +454,40 @@ class DeductiveDatabase:
         substitutes into the head as before.
         """
         if plan.use_compiled(self):
-            from repro.datalog.compiled import run_rule_derivations
-            results = run_rule_derivations(plan, self, rule.head, seed)
+            results = run_rule_derivations(plan, self, rule.head)
             if results is not None:
                 return results
+        return self._interpreted_derivations(rule, plan, None)
+
+    def _interpreted_derivations(self, rule: Rule, plan: JoinPlan,
+                                 seed: Optional[Substitution]
+                                 ) -> List[Tuple[Atom, Tuple[Atom, ...],
+                                                 Tuple[Atom, ...]]]:
         return [(rule.head.substitute(theta), pos, neg)
-                for theta, pos, neg in list(plan.derivations(self, seed))]
+                for theta, pos, neg in
+                list(plan.interpret_derivations(self, seed))]
+
+    def _seeded_derivations(self, rule: Rule, seeder: Seeder, fact: Atom
+                            ) -> Optional[List[Tuple[Atom, Tuple[Atom, ...],
+                                                     Tuple[Atom, ...]]]]:
+        """:meth:`_rule_derivations` for the run *seeder* binds from the
+        ground *fact*, or None when the fact does not match its pattern.
+
+        A warm plan is seeded straight into registers (no substitution
+        dict); a cold one runs on the interpreter from the match.
+        """
+        seeded = seeder.seed(fact)
+        if seeded is None:
+            return None
+        compiled, bound = seeded
+        if compiled is not None:
+            head = rule.head
+            spec = head_spec(compiled, seeder.plan, head)
+            if spec is not None:
+                return derive_rows(compiled, self, head.pred, spec, bound)
+            self.stats.compiled_fallbacks += 1
+            bound = match(seeder.pattern, fact)
+        return self._interpreted_derivations(rule, seeder.plan, bound)
 
     def _saturate(self, rules: Sequence[Rule]) -> None:
         """Iterate *rules* to a derivation fixpoint (complete provenance).
@@ -501,6 +534,9 @@ class DeductiveDatabase:
         while delta:
             rounds += 1
             new_delta: Set[Atom] = set()
+            by_pred: Dict[str, List[Atom]] = {}
+            for fact in delta:
+                by_pred.setdefault(fact.pred, []).append(fact)
             for rule in rules:
                 for element in rule.body:
                     if not (isinstance(element, Literal)
@@ -508,16 +544,19 @@ class DeductiveDatabase:
                         continue
                     if element.pred not in stratum_preds:
                         continue
-                    seed_vars = frozenset(element.variables())
-                    for fact in delta:
-                        if fact.pred != element.pred:
+                    facts = by_pred.get(element.pred)
+                    if not facts:
+                        continue
+                    seeder = Seeder(
+                        self.planner.plan(rule.body,
+                                          frozenset(element.variables())),
+                        self, element.atom)
+                    for fact in facts:
+                        results = self._seeded_derivations(rule, seeder,
+                                                           fact)
+                        if results is None:
                             continue
-                        seed = match(element.atom, fact)
-                        if seed is None:
-                            continue
-                        plan = self.planner.plan(rule.body, seed_vars)
-                        for fact, pos, neg in self._rule_derivations(
-                                rule, plan, seed):
+                        for fact, pos, neg in results:
                             derivation = Derivation(
                                 fact=fact,
                                 rule_name=rule.name,
@@ -653,19 +692,25 @@ class DeductiveDatabase:
         rules_by_head: Dict[str, List[Rule]] = {}
         for rule in rules:
             rules_by_head.setdefault(rule.head.pred, []).append(rule)
+        # One head-seeded plan per rule, planned on first use.
+        seeders: Dict[int, Seeder] = {}
         rederived: Set[Atom] = set()
         changed = True
         while changed:
             changed = False
             for fact in deleted:
                 for rule in rules_by_head.get(fact.pred, ()):
-                    seed = match(rule.head, fact)
-                    if seed is None:
+                    seeder = seeders.get(id(rule))
+                    if seeder is None:
+                        seeder = seeders[id(rule)] = Seeder(
+                            self.planner.plan(
+                                rule.body,
+                                frozenset(rule.head.variables())),
+                            self, rule.head)
+                    results = self._seeded_derivations(rule, seeder, fact)
+                    if results is None:
                         continue
-                    plan = self.planner.plan(
-                        rule.body, frozenset(rule.head.variables()))
-                    for _fact, pos, neg in self._rule_derivations(
-                            rule, plan, seed):
+                    for _fact, pos, neg in results:
                         derivation = Derivation(
                             fact=fact,
                             rule_name=rule.name,
@@ -699,14 +744,15 @@ class DeductiveDatabase:
                 facts = source.get(element.pred)
                 if not facts:
                     continue
-                seed_vars = frozenset(element.variables())
-                plan = self.planner.plan(rule.body, seed_vars)
+                seeder = Seeder(
+                    self.planner.plan(rule.body,
+                                      frozenset(element.variables())),
+                    self, element.atom)
                 for fact in facts:
-                    seed = match(element.atom, fact)
-                    if seed is None:
+                    results = self._seeded_derivations(rule, seeder, fact)
+                    if results is None:
                         continue
-                    for head_fact, pos, neg in self._rule_derivations(
-                            rule, plan, seed):
+                    for head_fact, pos, neg in results:
                         derivation = Derivation(
                             fact=head_fact,
                             rule_name=rule.name,

@@ -101,6 +101,11 @@ class EngineStats:
     #: a BES snapshot and fell back to the conservative slow path — a
     #: correctly configured session should keep this at zero.
     delta_fallbacks: int = 0
+    #: Runs on a warm plan that fell back to the interpreter because the
+    #: compiled executor could not seed its registers (no seed spec, no
+    #: head spec, or a seed binding variables the plan was not compiled
+    #: as bound for) — zero when every warm run stays compiled.
+    compiled_fallbacks: int = 0
     #: Copy-on-write work after a snapshot publish: relations whose
     #: containers were detached from a frozen view, and index buckets
     #: copied because a mutation touched one still shared with it.
@@ -134,9 +139,9 @@ class EngineStats:
         "intern_hits", "checks_run", "constraints_checked",
         "violations_found", "maint_insert_rounds", "maint_deleted",
         "maint_rederived", "maint_ms", "delta_fallbacks",
-        "cow_relations_privatized", "cow_buckets_copied", "wal_records",
-        "wal_bytes", "wal_fsyncs", "replay_sessions", "replay_records",
-        "replay_seconds",
+        "compiled_fallbacks", "cow_relations_privatized",
+        "cow_buckets_copied", "wal_records", "wal_bytes", "wal_fsyncs",
+        "replay_sessions", "replay_records", "replay_seconds",
     )
 
     def merge(self, other: "EngineStats") -> "EngineStats":
@@ -203,6 +208,7 @@ class EngineStats:
             "maint_rederived": self.maint_rederived,
             "maint_ms": self.maint_ms,
             "delta_fallbacks": self.delta_fallbacks,
+            "compiled_fallbacks": self.compiled_fallbacks,
             "cow_relations_privatized": self.cow_relations_privatized,
             "cow_buckets_copied": self.cow_buckets_copied,
             "wal_records": self.wal_records,
@@ -246,6 +252,9 @@ class EngineStats:
         if self.delta_fallbacks:
             lines.append(f"  delta fallbacks:    {self.delta_fallbacks} "
                          f"(conservative re-check without derived delta)")
+        if self.compiled_fallbacks:
+            lines.append(f"  compiled fallbacks: {self.compiled_fallbacks} "
+                         f"(warm plan run on the interpreter)")
         if self.cow_relations_privatized or self.cow_buckets_copied:
             lines.append(f"  copy-on-write:      "
                          f"{self.cow_relations_privatized} relation(s) "
@@ -550,6 +559,16 @@ class JoinPlan:
             if results is not None:
                 yield from results
                 return
+        yield from self.interpret_substitutions(database, theta)
+
+    def interpret_substitutions(self, database,
+                                theta: Optional[Substitution] = None
+                                ) -> Iterator[Substitution]:
+        """:meth:`substitutions` on the interpreter, outside tiering.
+
+        For callers that already took the tiering decision for this run
+        (so it is counted once, not twice).
+        """
         regs = self._initial_registers(theta)
         for final in self._run(database, 0, regs):
             yield self._substitution(final, theta)
@@ -641,6 +660,14 @@ class JoinPlan:
             if results is not None:
                 yield from results
                 return
+        yield from self.interpret_derivations(database, theta)
+
+    def interpret_derivations(self, database,
+                              theta: Optional[Substitution] = None
+                              ) -> Iterator[Tuple[Substitution,
+                                                  Tuple[Atom, ...],
+                                                  Tuple[Atom, ...]]]:
+        """:meth:`derivations` on the interpreter, outside tiering."""
         regs = self._initial_registers(theta)
         for final, pos, neg in self._run_supports(database, 0, regs,
                                                   (), ()):

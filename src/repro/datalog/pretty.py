@@ -81,6 +81,8 @@ def render_stats(stats: EngineStats, slowest: int = 5) -> str:
         rows.append(["parallel check workers", stats.parallel_check_workers])
     if stats.delta_fallbacks:
         rows.append(["delta fallbacks", stats.delta_fallbacks])
+    if stats.compiled_fallbacks:
+        rows.append(["compiled fallbacks", stats.compiled_fallbacks])
     if stats.cow_relations_privatized or stats.cow_buckets_copied:
         rows.append(["cow relations privatized",
                      stats.cow_relations_privatized])

@@ -19,6 +19,7 @@ registry the embedding application may extend.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,15 +61,25 @@ class _Frame:
     self_obj: object  # a GomObject
     home_type: Optional[Id]  # the type owning the running declaration
     env: Dict[str, object]
+    runtime: object  # the RuntimeSystem, held for the activation only
 
 
 class Interpreter:
     """Evaluates stored code texts against the object store."""
 
     def __init__(self, runtime) -> None:
-        self.runtime = runtime
+        # Weak: the runtime owns this interpreter, and a strong
+        # back-reference would keep a dropped runtime (and its object
+        # base) alive until a full collection.  Each entry point takes
+        # one strong reference for its activation, in the frame.
+        self._runtime = weakref.ref(runtime)
         self.functions: Dict[str, Callable] = dict(DEFAULT_FUNCTIONS)
         self._code_cache: Dict[str, Tuple[str, Tuple[str, ...], ast.Block]] = {}
+
+    @property
+    def runtime(self):
+        """The runtime system this interpreter evaluates against."""
+        return self._runtime()
 
     def register_function(self, name: str, func: Callable) -> None:
         """Extend the builtin helper functions."""
@@ -82,51 +93,57 @@ class Interpreter:
         Resolution is arity-aware so overloaded declarations (the
         ``overloading`` feature) dispatch on argument count.
         """
-        runtime = self.runtime
+        runtime = self._runtime()
         binding = runtime.lookup(_binding, obj.tid, opname, len(args))
         if binding is None:
             handled, result = runtime.handlers.call(obj, opname, args)
             if handled:
                 return result
-            return self._fashion_call(obj, opname, args)
+            return self._fashion_call(runtime, obj, opname, args)
         code_text, home = binding
         if code_text is None:
             raise MethodLookupError(
                 f"operation {opname!r} of "
                 f"{runtime.model.type_name(obj.tid)!r} has no code")
-        return self.run_code(code_text, obj, args, home_type=home)
+        return self._run(runtime, code_text, obj, args, home)
 
-    def _fashion_call(self, obj, opname: str, args: List[object]) -> object:
+    def _fashion_call(self, runtime, obj, opname: str,
+                      args: List[object]) -> object:
         """Resolve a call through fashion substitutability (§4.1)."""
-        code_text = self.runtime.lookup(fashion_decl_code, obj.tid, opname)
+        code_text = runtime.lookup(fashion_decl_code, obj.tid, opname)
         if code_text is None:
             raise MethodLookupError(
                 f"operation {opname!r} is not visible at type "
-                f"{self.runtime.model.type_name(obj.tid)!r} and no fashion "
+                f"{runtime.model.type_name(obj.tid)!r} and no fashion "
                 f"imitates it")
-        return self.run_code(code_text, obj, args, home_type=obj.tid)
+        return self._run(runtime, code_text, obj, args, obj.tid)
 
     def call_super(self, frame: _Frame, opname: str,
                    args: List[object]) -> object:
         """Statically bound super call from within *frame*."""
         if frame.home_type is None:
             raise InterpreterError("super call outside an operation body")
-        binding = self.runtime.lookup(_super_binding, frame.home_type,
-                                      opname, len(args))
+        runtime = frame.runtime
+        binding = runtime.lookup(_super_binding, frame.home_type,
+                                 opname, len(args))
         if binding is None:
             raise MethodLookupError(
                 f"no super operation {opname!r} above "
-                f"{self.runtime.model.type_name(frame.home_type)!r}")
+                f"{runtime.model.type_name(frame.home_type)!r}")
         code_text, home = binding
         if code_text is None:
             raise MethodLookupError(
                 f"super operation {opname!r} has no code")
-        return self.run_code(code_text, frame.self_obj, args,
-                             home_type=home)
+        return self._run(runtime, code_text, frame.self_obj, args, home)
 
     def run_code(self, code_text: str, self_obj, args: Sequence[object],
                  home_type: Optional[Id] = None) -> object:
         """Execute stored canonical code text ``name(params) is <body>``."""
+        return self._run(self._runtime(), code_text, self_obj, args,
+                         home_type)
+
+    def _run(self, runtime, code_text: str, self_obj,
+             args: Sequence[object], home_type: Optional[Id]) -> object:
         name, params, body = self._parse(code_text)
         if len(params) != len(args):
             raise InterpreterError(
@@ -135,7 +152,8 @@ class Interpreter:
         frame = _Frame(self_obj=self_obj,
                        home_type=home_type if home_type is not None
                        else getattr(self_obj, "tid", None),
-                       env=dict(zip(params, args)))
+                       env=dict(zip(params, args)),
+                       runtime=runtime)
         try:
             self._exec_block(body, frame)
         except _Return as result:
@@ -145,8 +163,8 @@ class Interpreter:
     def run_accessor(self, code_text: str, self_obj,
                      args: Sequence[object]) -> object:
         """Execute a fashion read/write accessor body."""
-        return self.run_code(code_text, self_obj, args,
-                             home_type=getattr(self_obj, "tid", None))
+        return self._run(self._runtime(), code_text, self_obj, args,
+                         getattr(self_obj, "tid", None))
 
     def _parse(self, code_text: str):
         cached = self._code_cache.get(code_text)
@@ -175,8 +193,8 @@ class Interpreter:
                 frame.env[target.name] = value
             elif isinstance(target, ast.AttrAccess):
                 receiver = self._eval(target.receiver, frame)
-                obj = self._as_object(receiver)
-                self.runtime.set_attr(obj, target.attr, value)
+                obj = self._as_object(receiver, frame)
+                frame.runtime.set_attr(obj, target.attr, value)
             else:
                 raise InterpreterError("invalid assignment target")
         elif isinstance(statement, ast.If):
@@ -200,16 +218,16 @@ class Interpreter:
         if isinstance(expr, ast.Name):
             if expr.name in frame.env:
                 return frame.env[expr.name]
-            if self._is_enum_value(expr.name):
+            if frame.runtime.lookup(_is_enum_value, expr.name):
                 return expr.name
             raise InterpreterError(f"unbound name {expr.name!r}")
         if isinstance(expr, ast.AttrAccess):
             receiver = self._eval(expr.receiver, frame)
-            obj = self._as_object(receiver)
-            return self.runtime.get_attr(obj, expr.attr)
+            obj = self._as_object(receiver, frame)
+            return frame.runtime.get_attr(obj, expr.attr)
         if isinstance(expr, ast.MethodCall):
             receiver = self._eval(expr.receiver, frame)
-            obj = self._as_object(receiver)
+            obj = self._as_object(receiver, frame)
             args = [self._eval(arg, frame) for arg in expr.args]
             return self.call(obj, expr.op, args)
         if isinstance(expr, ast.SuperCall):
@@ -270,12 +288,13 @@ class Interpreter:
 
     # -- helpers --------------------------------------------------------------------------
 
-    def _as_object(self, value: object):
+    @staticmethod
+    def _as_object(value: object, frame: _Frame):
         from repro.runtime.objects import GomObject
         if isinstance(value, GomObject):
             return value
         if isinstance(value, Id) and value.kind == "oid":
-            return self.runtime.get(value)
+            return frame.runtime.get(value)
         raise InterpreterError(
             f"value {value!r} is not an object (attribute access / call "
             f"on a non-object)")
@@ -293,9 +312,6 @@ class Interpreter:
             return value
         raise InterpreterError(
             f"condition evaluated to non-boolean value {value!r}")
-
-    def _is_enum_value(self, name: str) -> bool:
-        return self.runtime.lookup(_is_enum_value, name)
 
 
 # -- schema answers, memoized by RuntimeSystem.lookup -----------------------------

@@ -70,10 +70,16 @@ class RuntimeSystem:
         from repro.runtime.explain import runtime_explainer
         from repro.runtime.handlers import HandlerRegistry
         from repro.runtime.migration import MigrationEngine
+        # The interpreter, the explainer and the migration engine point
+        # back at the runtime weakly (the interpreter keeps its own weak
+        # reference): strong back-references would put the runtime in
+        # reference cycles, so a dropped manager and its whole object
+        # base would wait for a full collection.
+        this = weakref.proxy(self)
         self.interpreter = Interpreter(self)
-        self.explainer = runtime_explainer(self.model, self)
+        self.explainer = runtime_explainer(self.model, this)
         self.handlers = HandlerRegistry()
-        self.migrations = MigrationEngine(self)
+        self.migrations = MigrationEngine(this)
         #: Masked slots deferred until the type's representation exists:
         #: (tid -> attr -> domain).  ``mask_with_handler`` on a type with
         #: no PhRep records the layout fact here, and

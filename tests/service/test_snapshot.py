@@ -44,6 +44,24 @@ class TestPublication:
         assert snapshot.epoch == 1
         assert manager.model.snapshots_enabled
 
+    def test_publish_invalidates_the_snapshot_planner_once(
+            self, manager, monkeypatch):
+        from repro.datalog.plan import QueryPlanner
+        calls = []
+        invalidate = QueryPlanner.invalidate
+
+        def counting(planner):
+            calls.append(planner)
+            invalidate(planner)
+
+        monkeypatch.setattr(QueryPlanner, "invalidate", counting)
+        manager.model.enable_snapshots()
+        snapshot = manager.model.snapshot()
+        assert len(snapshot.checker) == len(manager.model.checker) > 1
+        planner = snapshot.db.planner
+        assert [p for p in calls if p is planner] == [planner]
+        assert snapshot.checker.generation == 1
+
     def test_commit_publishes_the_next_epoch(self, manager):
         manager.model.enable_snapshots()
         tid = manager.model.type_id("T")
